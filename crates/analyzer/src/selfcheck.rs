@@ -294,6 +294,7 @@ mod tests {
             checkpoints: 7,
             replayed_events: 41,
             recovery_wall_us: 812.5,
+            checkpoint_wall_us: 3301.5,
         };
         assert_eq!(report_digest(&recovered), d0, "recovery stats must not affect the digest");
 

@@ -47,6 +47,8 @@ pub struct RecoveryRow {
     pub replayed_events: u64,
     /// Mean wall-clock restore+replay latency per crash, microseconds.
     pub mean_recovery_us: f64,
+    /// Mean wall-clock capture cost per checkpoint, microseconds.
+    pub mean_checkpoint_us: f64,
     /// Completed / submitted, percent.
     pub completion_pct: f64,
     /// Report digest of the recovered run.
@@ -108,6 +110,7 @@ fn row(scheduler: &str, cpm: f64, baseline: &RunReport, r: &RunReport) -> Recove
         } else {
             rec.recovery_wall_us / rec.controller_crashes as f64
         },
+        mean_checkpoint_us: rec.checkpoint_wall_us / rec.checkpoints.max(1) as f64,
         completion_pct: if r.submitted == 0 {
             0.0
         } else {
@@ -144,6 +147,7 @@ pub fn table(rows: &[RecoveryRow]) -> Table {
             "checkpoints",
             "replayed",
             "mean rec us",
+            "mean cp us",
             "completed%",
             "digest match",
         ],
@@ -156,6 +160,7 @@ pub fn table(rows: &[RecoveryRow]) -> Table {
             r.checkpoints.to_string(),
             r.replayed_events.to_string(),
             f(r.mean_recovery_us, 0),
+            f(r.mean_checkpoint_us, 0),
             f(r.completion_pct, 1),
             if r.digest_match { "yes".into() } else { "NO".into() },
         ]);
@@ -190,6 +195,7 @@ mod tests {
         assert_eq!(rows[0].crashes, 0, "zero density performs no kills");
         assert!(rows[1].crashes > 0, "4/min over 30 s kills the controller");
         assert!(rows[1].replayed_events > 0, "recovery replays WAL records");
+        assert!(rows.iter().all(|r| r.mean_checkpoint_us > 0.0), "every leg times its captures");
         assert!(table(&rows).render().contains("digest match"));
     }
 }

@@ -133,6 +133,8 @@ pub struct RecoveryStats {
     pub replayed_events: u64,
     /// Wall-clock spent in restore+replay across all recoveries, µs.
     pub recovery_wall_us: f64,
+    /// Wall-clock spent capturing checkpoints (t=0 included), µs.
+    pub checkpoint_wall_us: f64,
 }
 
 /// Everything measured over one orchestrated run.
@@ -375,6 +377,7 @@ mod tests {
             checkpoints: 5,
             replayed_events: 1234,
             recovery_wall_us: 870.5,
+            checkpoint_wall_us: 4096.25,
         };
         let json = serde_json::to_string(&r).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();

@@ -54,9 +54,10 @@ enum StopKind {
 ///
 /// Returns the run's [`RunReport`] with [`RunReport::recovery`] filled:
 /// crashes performed, checkpoints taken, WAL records replayed, and the
-/// wall-clock recovery latency. Everything the report digest covers is
-/// bit-identical to an uninterrupted run of the same inputs — that is the
-/// contract `tests/recovery.rs` pins.
+/// wall-clock capture and recovery costs. Everything the report digest
+/// covers is bit-identical to an uninterrupted run of the same inputs —
+/// that is the contract `tests/recovery.rs` pins. A config whose loop mode
+/// cannot pause fails with [`RecoveryError::UnsupportedLoopMode`].
 pub fn run_with_recovery(
     cluster_cfg: &ClusterConfig,
     make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
@@ -66,11 +67,10 @@ pub fn run_with_recovery(
     rc: &RecoveryConfig,
     obs: &Obs,
 ) -> Result<RunReport, RecoveryError> {
-    assert_eq!(
-        orch.effective_mode(),
-        LoopMode::EventQueue,
-        "crash recovery requires the pausable event-queue loop"
-    );
+    let mode = orch.effective_mode();
+    if mode != LoopMode::EventQueue {
+        return Err(RecoveryError::UnsupportedLoopMode(mode));
+    }
     let every = rc.checkpoint_every.max(orch.tick);
     let crashes = plan.controller_crashes();
     let mut crash_iter = crashes.into_iter().peekable();
@@ -80,12 +80,11 @@ pub fn run_with_recovery(
     k.begin(schedule);
     k.enable_journal();
 
+    let mut stats = RecoveryStats::default();
     // Base checkpoint at t=0: recovery must never depend on reaching the
     // first periodic checkpoint alive.
-    let mut latest = Snapshot::capture(&k)?;
+    let mut latest = checkpoint(&k, &mut stats, obs)?;
     let mut wal = WriteAheadLog::new();
-    let mut stats = RecoveryStats { checkpoints: 1, ..RecoveryStats::default() };
-    obs.metrics.inc("knots_recovery_checkpoints_total", &[]);
     let mut next_cp = k.cluster().now() + every;
 
     loop {
@@ -97,7 +96,7 @@ pub fn run_with_recovery(
             crash_iter.next();
         }
         while next_cp <= now {
-            next_cp = next_cp + every;
+            next_cp += every;
         }
         // Checkpoint wins a tie: crashing at the instant of a checkpoint
         // recovers from that checkpoint with an empty replay.
@@ -115,10 +114,8 @@ pub fn run_with_recovery(
         match kind {
             StopKind::Checkpoint => {
                 wal.append(&k.take_journal());
-                latest = Snapshot::capture(&k)?;
+                latest = checkpoint(&k, &mut stats, obs)?;
                 wal.truncate();
-                stats.checkpoints += 1;
-                obs.metrics.inc("knots_recovery_checkpoints_total", &[]);
             }
             StopKind::Crash => {
                 crash_iter.next();
@@ -162,6 +159,21 @@ pub fn run_with_recovery(
     let mut report = k.report_now(schedule.len());
     report.recovery = stats;
     Ok(report)
+}
+
+/// Capture a checkpoint of the paused `k`, counting it and its wall time.
+fn checkpoint(
+    k: &KubeKnots,
+    stats: &mut RecoveryStats,
+    obs: &Obs,
+) -> Result<Snapshot, RecoveryError> {
+    // knots-allow: D1 -- wall-clock capture cost is an observability stat (RecoveryStats is digest-excluded); it never feeds back into simulation state
+    let t0 = std::time::Instant::now();
+    let snapshot = Snapshot::capture(k)?;
+    stats.checkpoint_wall_us += t0.elapsed().as_secs_f64() * 1e6;
+    stats.checkpoints += 1;
+    obs.metrics.inc("knots_recovery_checkpoints_total", &[]);
+    Ok(snapshot)
 }
 
 /// Convenience: the crash instants of `plan` restricted to `(0, horizon)`,

@@ -37,6 +37,7 @@ pub use harness::{planned_crashes, run_with_recovery, RecoveryConfig};
 pub use snapshot::{fnv1a, Snapshot, SNAPSHOT_VERSION};
 pub use wal::WriteAheadLog;
 
+use knots_core::config::LoopMode;
 use knots_core::AppliedEvent;
 
 /// Everything that can go wrong between a capture and a verified resume.
@@ -45,6 +46,13 @@ pub enum RecoveryError {
     /// Snapshot capture was attempted on a run that is not paused (driven
     /// via `run_schedule` instead of `begin`/`drive`).
     NotPaused,
+    /// The config selects a loop mode that cannot pause: only the
+    /// event-queue loop parks its state between drives, so only it can be
+    /// checkpointed and resumed.
+    UnsupportedLoopMode(
+        /// The config's effective loop mode.
+        LoopMode,
+    ),
     /// A non-finite float was found in the state at capture. The serde
     /// layer round-trips non-finite floats through JSON `null` (read back
     /// as `NaN`), so letting one into a snapshot would be silent
@@ -91,6 +99,9 @@ impl std::fmt::Display for RecoveryError {
         match self {
             RecoveryError::NotPaused => {
                 write!(f, "snapshot capture requires a paused run (use begin/drive)")
+            }
+            RecoveryError::UnsupportedLoopMode(mode) => {
+                write!(f, "crash recovery requires the pausable event-queue loop, not {mode:?}")
             }
             RecoveryError::NonFinite { path } => {
                 write!(f, "non-finite float at {path}: would corrupt silently through JSON null")

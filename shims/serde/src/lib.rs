@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -132,6 +133,14 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// This value as a document tree.
     fn to_value(&self) -> Value;
+
+    /// This value as a document tree, borrowed where it already is one.
+    /// The `serde_json` writer goes through this, so writing a [`Value`]
+    /// does not clone it first; call sites use `to_value` as upstream.
+    #[doc(hidden)]
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// A value that can be lifted back out of the data model.
@@ -147,6 +156,10 @@ pub trait Deserialize: Sized {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -207,6 +220,10 @@ impl Serialize for char {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 
